@@ -450,22 +450,43 @@ impl MatchingEngine {
     /// after applying deltas to the view's contents). Invalidates cached
     /// results over the view's tables: under a freshness policy the view
     /// may newly qualify as a substitute. Returns `false` for removed or
-    /// out-of-range ids.
+    /// out-of-range ids. The one-view case of
+    /// [`MatchingEngine::mark_views_maintained`].
     pub fn mark_view_maintained(&self, id: ViewId) -> bool {
+        self.mark_views_maintained(&[id]) == 1
+    }
+
+    /// Restamp a set of views as maintained up to the current data epochs,
+    /// in one clone-modify-publish: the stamps are updated together and
+    /// the union of the views' tables is bumped once, so a write round
+    /// that maintained many views publishes one snapshot. Removed and
+    /// out-of-range ids are skipped; nothing is published when none
+    /// remain. Returns how many views were restamped.
+    pub fn mark_views_maintained(&self, ids: &[ViewId]) -> usize {
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
-        if next.removed.contains(&id) || (id.0 as usize) >= next.views.len() {
-            return false;
+        let restamps: Vec<(ViewId, Vec<(TableId, u64)>)> = ids
+            .iter()
+            .filter(|id| !next.removed.contains(id) && (id.0 as usize) < next.views.len())
+            .filter_map(|&id| {
+                let stamp = next.view_stamps.get(&id)?;
+                Some((id, next.current_epochs_for(stamp)))
+            })
+            .collect();
+        if restamps.is_empty() {
+            return 0;
         }
-        let Some(stamp) = next.view_stamps.get(&id) else {
-            return false;
-        };
-        let restamped = next.current_epochs_for(stamp);
-        let tables: Vec<TableId> = restamped.iter().map(|&(t, _)| t).collect();
-        Arc::make_mut(&mut next.view_stamps).insert(id, restamped);
+        let mut tables: Vec<TableId> = restamps
+            .iter()
+            .flat_map(|(_, stamp)| stamp.iter().map(|&(t, _)| t))
+            .collect();
+        tables.sort_unstable();
+        tables.dedup();
+        let n = restamps.len();
+        Arc::make_mut(&mut next.view_stamps).extend(restamps);
         next.bump_tables(tables);
         self.shared.store(Arc::new(next));
-        true
+        n
     }
 
     /// The current data epoch of a base table (write rounds recorded via

@@ -1,13 +1,18 @@
 //! A row-oriented in-memory execution engine.
 //!
-//! Three execution paths, all operating on [`mv_data::Database`] rows:
+//! Execution paths, all operating on [`mv_data::Database`] rows:
 //!
-//! * [`spjg::execute_spjg`] evaluates an SPJG block directly against base
-//!   tables — the *correctness oracle* for everything else,
-//! * [`substitute::execute_substitute`] evaluates a matcher-produced
-//!   [`mv_plan::Substitute`] against a materialized view's rows,
+//! * [`program::PlanProgram`] (with [`program::SubstitutePipeline`])
+//!   evaluates a compiled SPJG block — the production evaluator behind
+//!   view materialization, refresh and delta joins in `mv-maintain`, and
+//!   the prover's hot loop;
 //! * [`physical::execute_plan`] interprets an optimizer-produced
-//!   [`mv_plan::PhysicalPlan`].
+//!   [`mv_plan::PhysicalPlan`] — the read path;
+//! * [`spjg::execute_spjg`] evaluates an SPJG block directly against base
+//!   tables — the *correctness oracle* the other paths (and the MV4xx
+//!   maintenance audits) are checked against, not a production path;
+//! * [`substitute::execute_substitute`] evaluates a matcher-produced
+//!   [`mv_plan::Substitute`] against a materialized view's rows.
 //!
 //! Bag semantics throughout: duplicates are preserved exactly, and
 //! [`compare::bag_eq`] provides multiset equality for tests. The central

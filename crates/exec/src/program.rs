@@ -1,29 +1,48 @@
-//! Compiled plan programs for the prove hot path.
+//! Compiled plan programs: the production evaluator for view contents and
+//! the prove hot path.
 //!
-//! The enumerative prover evaluates the same `(query, view, substitute)`
-//! triple over hundreds of thousands of tiny databases. Walking the
-//! expression trees for every row of every database dominates that loop:
-//! each `eval` call allocates closures, clones `Value`s for the accessor,
-//! and rebuilds hash maps per database. This module flattens a plan into a
-//! [`PlanProgram`] once — a postfix instruction stream per predicate and
-//! output expression plus a precomputed join schedule — and evaluates it
-//! over flat, reusable scratch buffers ([`ExecScratch`]).
+//! A plan is flattened into a [`PlanProgram`] once — a postfix instruction
+//! stream per predicate and output expression plus a precomputed join
+//! schedule — and evaluated over flat, reusable scratch buffers
+//! ([`ExecScratch`]). Two callers lean on it:
+//!
+//! * the maintainer (`mv-maintain`) compiles one program per registered
+//!   view and runs it for initial materialization, refresh, and every
+//!   delta join;
+//! * the enumerative prover evaluates the same `(query, view, substitute)`
+//!   triple over hundreds of thousands of tiny databases.
 //!
 //! The execution representation never materializes joined rows: a joined
 //! "row" is a tuple of `u32` row indices, one per table occurrence, and
 //! every column reference resolves lazily through a [`Fetch`] back to the
 //! database's own storage. Values are cloned only at the two places a bag
-//! must own them — projected output cells and group keys on first insert —
-//! so the per-database cost is a few tight loops over integer tuples with
-//! no allocation on the common path. [`SubstitutePipeline`] extends the
-//! same idea across the view boundary: when the view's output is a bare
-//! column projection, the substitute runs directly over the view's join
-//! tuples and the view rows are never materialized at all.
+//! must own them — projected output cells and group keys on first insert.
+//! [`SubstitutePipeline`] extends the same idea across the view boundary:
+//! when the view's output is a bare column projection, the substitute runs
+//! directly over the view's join tuples and the view rows are never
+//! materialized at all.
+//!
+//! Sizes differ by orders of magnitude between the two callers, so the
+//! hot structures switch representation at a fixed cutoff. An equijoin
+//! step whose prefix and scan both reach [`HASH_MIN_ROWS`] probes a
+//! chained hash index over the scan; smaller steps (every prover database)
+//! keep the nested loop. A group table that outgrows [`HASH_MIN_ROWS`]
+//! groups likewise gains an open-addressing index. Both indexes live in
+//! [`ExecScratch`] and allocate nothing per row.
+//!
+//! **Order guarantee.** Whichever join path runs, matches come out per
+//! prefix tuple in ascending scan index, so the tuple stream — and with it
+//! every group's `SUM` accumulation order — is identical to the nested
+//! loop and to [`crate::spjg::execute_spjg`]. Float addition is not
+//! associative: the guarantee is what makes compiled float sums
+//! bit-identical to the interpreter's, which the maintainer's audits
+//! (MV401/MV402) compare exactly.
 //!
 //! The tree-walking interpreter in [`crate::spjg`] / [`crate::substitute`]
 //! stays as the differential oracle: the compiled path must produce exactly
 //! the same row bags, which `exec/tests/program_differential.rs` checks over
-//! random plans × enumerated databases.
+//! random plans × enumerated databases and over the whole §5 view workload
+//! at TPC-H scale.
 
 use crate::agg::SumAcc;
 use mv_catalog::{Catalog, TableId, Value};
@@ -32,6 +51,8 @@ use mv_expr::like::like_match;
 use mv_expr::scalar::eval_binop;
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, OccId, ScalarExpr};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Bits of an [`Op::Col`] operand holding the column index; the rest holds
 /// the table-occurrence index (plan programs) — substitute programs use the
@@ -39,10 +60,43 @@ use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute};
 const COL_BITS: usize = 16;
 const COL_MASK: usize = (1 << COL_BITS) - 1;
 
-/// Upper bound on table occurrences per plan (and backjoins per
-/// substitute): lets execution keep its per-occurrence scan table on the
-/// stack instead of allocating per database.
+/// Upper bound on table occurrences per fused substitute pipeline view
+/// (and on backjoins per substitute): lets the prove hot path keep its
+/// per-occurrence scan table on the stack instead of allocating per
+/// database. A standalone [`PlanProgram`] takes any number of occurrences
+/// and spills its scan table to the heap past this.
 const MAX_OCCS: usize = 16;
+
+/// The size cutoff between linear scans and hash indexes: an equijoin step
+/// probes a hash index only when its prefix tuples *and* its scan rows both
+/// reach this, and a group table indexes its groups once it holds more than
+/// this many. Below it a scan beats hashing: hashing always made the
+/// serial k=3 prove gate 44% slower and the 1000-view maintain row 16%
+/// slower (DESIGN.md §17.5), so the prover's ≤k-row databases and small
+/// delta joins stay on the nested loop.
+const HASH_MIN_ROWS: usize = 8;
+
+/// Empty hash slot / end of a hash chain.
+const NIL: u32 = u32::MAX;
+
+/// Hash a key given as a sequence of values (consistent with `Value`'s
+/// `Eq`, under which `Int(1)` equals `Float(1.0)`). The keys are table
+/// data, so the hasher is the standard randomly keyed one: crafted rows
+/// cannot force every key into one chain.
+#[inline]
+fn hash_values<'v>(state: &RandomState, vals: impl Iterator<Item = &'v Value>) -> u64 {
+    let mut h = state.build_hasher();
+    for v in vals {
+        v.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// `log2` of the power-of-two table size for `n` entries (at least 2
+/// buckets, so the bucket shift stays below 64).
+fn table_bits(n: usize) -> u32 {
+    n.next_power_of_two().trailing_zeros().max(1)
+}
 
 /// Resolve a fetch position to a value for the current index tuple. The
 /// two executors address columns differently (packed `(occ, col)` versus
@@ -568,19 +622,30 @@ struct GroupState {
     sums: Vec<SumAcc>,
 }
 
-/// A reusable linear-scan group table. Groups per database are few (bounded
-/// by the handful of enumerated rows), so a scan beats rebuilding a hash
-/// map; slots beyond `live` keep their capacity for the next database.
+/// A reusable group table. Groups are looked up by linear scan while there
+/// are few of them (every prover database); past [`HASH_MIN_ROWS`] groups
+/// an open-addressing index over group numbers takes over. Groups keep
+/// their first-insert order either way, and slots beyond `live` keep their
+/// capacity for the next run.
 #[derive(Debug, Default)]
 struct GroupTable {
     keys: Vec<Vec<Value>>,
     states: Vec<GroupState>,
     live: usize,
+    /// Key hash per live group; maintained only while indexed.
+    hashes: Vec<u64>,
+    /// Open-addressing slots holding group numbers ([`NIL`] = empty).
+    /// Empty while the table is on the linear scan.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a hash's slot is its top bits.
+    shift: u32,
+    hasher: RandomState,
 }
 
 impl GroupTable {
     fn clear(&mut self) {
         self.live = 0;
+        self.slots.clear();
     }
 
     /// Find the group whose key matches `get(0..n_keys)`, inserting a fresh
@@ -592,6 +657,9 @@ impl GroupTable {
         n_aggs: usize,
         get: impl Fn(usize) -> &'v Value,
     ) -> &mut GroupState {
+        if !self.slots.is_empty() {
+            return self.find_or_insert_hashed(n_keys, n_aggs, get);
+        }
         'groups: for i in 0..self.live {
             for k in 0..n_keys {
                 if self.keys[i][k] != *get(k) {
@@ -600,6 +668,54 @@ impl GroupTable {
             }
             return &mut self.states[i];
         }
+        let g = self.push_group(n_keys, n_aggs, &get);
+        if self.live > HASH_MIN_ROWS {
+            self.hashes.clear();
+            for k in &self.keys[..self.live] {
+                self.hashes.push(hash_values(&self.hasher, k.iter()));
+            }
+            self.reindex(4 * self.live);
+        }
+        &mut self.states[g]
+    }
+
+    /// [`GroupTable::find_or_insert_by`] once the table is indexed.
+    fn find_or_insert_hashed<'v>(
+        &mut self,
+        n_keys: usize,
+        n_aggs: usize,
+        get: impl Fn(usize) -> &'v Value,
+    ) -> &mut GroupState {
+        let h = hash_values(&self.hasher, (0..n_keys).map(&get));
+        let mask = self.slots.len() - 1;
+        let mut s = (h >> self.shift) as usize;
+        loop {
+            let g = self.slots[s];
+            if g == NIL {
+                break;
+            }
+            let g = g as usize;
+            if self.hashes[g] == h && (0..n_keys).all(|k| self.keys[g][k] == *get(k)) {
+                return &mut self.states[g];
+            }
+            s = (s + 1) & mask;
+        }
+        let g = self.push_group(n_keys, n_aggs, &get);
+        self.hashes.push(h);
+        self.slots[s] = g as u32;
+        if 2 * self.live > self.slots.len() {
+            self.reindex(2 * self.slots.len());
+        }
+        &mut self.states[g]
+    }
+
+    /// Append a fresh group keyed `get(0..n_keys)`; returns its number.
+    fn push_group<'v>(
+        &mut self,
+        n_keys: usize,
+        n_aggs: usize,
+        get: &impl Fn(usize) -> &'v Value,
+    ) -> usize {
         if self.live == self.keys.len() {
             self.keys
                 .push((0..n_keys).map(|k| get(k).clone()).collect());
@@ -617,7 +733,92 @@ impl GroupTable {
             s.sums.resize(n_aggs, SumAcc::default());
         }
         self.live += 1;
-        &mut self.states[self.live - 1]
+        self.live - 1
+    }
+
+    /// Rebuild the slot array with room for `cap` entries from the stored
+    /// per-group hashes.
+    fn reindex(&mut self, cap: usize) {
+        let bits = table_bits(cap);
+        self.shift = 64 - bits;
+        self.slots.clear();
+        self.slots.resize(1 << bits, NIL);
+        let mask = self.slots.len() - 1;
+        for (g, &h) in self.hashes[..self.live].iter().enumerate() {
+            let mut s = (h >> self.shift) as usize;
+            while self.slots[s] != NIL {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = g as u32;
+        }
+    }
+}
+
+/// A chained hash index over one join step's scan, rebuilt per step in
+/// reused buffers. `heads[bucket]` is the bucket's first scan row and
+/// `next[row]` the following one; rows are threaded in ascending order, so
+/// a chain walk yields candidates by ascending scan index — the order the
+/// nested loop produces. Rows with a NULL key are never threaded (SQL
+/// equality: NULL keys never join).
+#[derive(Debug, Default)]
+struct JoinIndex {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    hashes: Vec<u64>,
+    /// `64 - log2(heads.len())`: a hash's bucket is its top bits.
+    shift: u32,
+    hasher: RandomState,
+}
+
+impl JoinIndex {
+    fn build(&mut self, scan: &[Row], keys: &[(usize, usize)]) {
+        let bits = table_bits(scan.len());
+        self.shift = 64 - bits;
+        self.heads.clear();
+        self.heads.resize(1 << bits, NIL);
+        self.next.clear();
+        self.next.resize(scan.len(), NIL);
+        self.hashes.clear();
+        self.hashes.resize(scan.len(), 0);
+        for (ri, row) in scan.iter().enumerate().rev() {
+            if keys.iter().any(|&(_, rc)| row[rc].is_null()) {
+                continue;
+            }
+            let h = hash_values(&self.hasher, keys.iter().map(|&(_, rc)| &row[rc]));
+            let b = (h >> self.shift) as usize;
+            self.hashes[ri] = h;
+            self.next[ri] = self.heads[b];
+            self.heads[b] = ri as u32;
+        }
+    }
+
+    /// Append `prefix` extended by each matching scan row to `nxt`, in
+    /// ascending scan index.
+    fn probe(
+        &self,
+        keys: &[(usize, usize)],
+        f: &PlanFetch<'_>,
+        prefix: &[u32],
+        scan: &[Row],
+        nxt: &mut Vec<u32>,
+    ) {
+        if keys.iter().any(|&(pp, _)| f.at(prefix, pp).is_null()) {
+            return;
+        }
+        let h = hash_values(&self.hasher, keys.iter().map(|&(pp, _)| f.at(prefix, pp)));
+        let mut ri = self.heads[(h >> self.shift) as usize];
+        while ri != NIL {
+            let i = ri as usize;
+            if self.hashes[i] == h
+                && keys
+                    .iter()
+                    .all(|&(pp, rc)| *f.at(prefix, pp) == scan[i][rc])
+            {
+                nxt.extend_from_slice(prefix);
+                nxt.push(ri);
+            }
+            ri = self.next[i];
+        }
     }
 }
 
@@ -641,6 +842,12 @@ impl RowBag {
         self.count = 0;
     }
 
+    /// Drop every row, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.vals.clear();
+        self.count = 0;
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.count
@@ -651,7 +858,12 @@ impl RowBag {
         self.count == 0
     }
 
-    /// Materialize as owned rows (cold path: witnesses and tests).
+    /// The rows, in output order, as borrowed slices.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
+        (0..self.count).map(move |i| &self.vals[i * self.arity..(i + 1) * self.arity])
+    }
+
+    /// Materialize as owned rows.
     pub fn to_rows(&self) -> Vec<Row> {
         if self.arity == 0 {
             return vec![Vec::new(); self.count];
@@ -693,12 +905,14 @@ pub fn rowbag_eq(a: &RowBag, b: &RowBag, matched: &mut Vec<bool>) -> bool {
 }
 
 /// Reusable per-worker scratch: index-tuple ping-pong buffers, evaluation
-/// stacks, the group table, and the bag-equality bitmap. One of these per
-/// prove worker amortizes every allocation across all enumerated databases.
+/// stacks, the join-step hash index, the group table, and the bag-equality
+/// bitmap. One of these per prove worker (or per maintainer) amortizes
+/// every allocation across all runs.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     cur: Vec<u32>,
     nxt: Vec<u32>,
+    index: JoinIndex,
     st: EvalStacks,
     key_buf: Vec<Value>,
     groups: GroupTable,
@@ -746,11 +960,17 @@ fn filter_tuples<F: Fetch>(
 
 /// Run the join schedule, leaving the surviving index tuples (stride =
 /// number of steps) in `cur`. Returns the tuple count.
+///
+/// An equijoin step at or above [`HASH_MIN_ROWS`] on both sides probes a
+/// hash index over its scan; below it, the nested loop runs. Either way
+/// each prefix's matches are appended in ascending scan index (see the
+/// module docs' order guarantee).
 fn join_steps(
     steps: &[JoinStep],
     f: &PlanFetch<'_>,
     cur: &mut Vec<u32>,
     nxt: &mut Vec<u32>,
+    index: &mut JoinIndex,
     st: &mut EvalStacks,
 ) -> usize {
     cur.clear();
@@ -758,19 +978,26 @@ fn join_steps(
     for (occ, step) in steps.iter().enumerate() {
         let scan = f.occ_rows[occ];
         nxt.clear();
-        for r in 0..n_rows {
-            let prefix = &cur[r * occ..r * occ + occ];
-            'scan: for (ri, trow) in scan.iter().enumerate() {
-                for &(pp, rc) in &step.keys {
-                    let a = f.at(prefix, pp);
-                    let b = &trow[rc];
-                    // SQL equality: NULL keys never join.
-                    if a.is_null() || b.is_null() || a != b {
-                        continue 'scan;
+        if !step.keys.is_empty() && n_rows >= HASH_MIN_ROWS && scan.len() >= HASH_MIN_ROWS {
+            index.build(scan, &step.keys);
+            for r in 0..n_rows {
+                index.probe(&step.keys, f, &cur[r * occ..r * occ + occ], scan, nxt);
+            }
+        } else {
+            for r in 0..n_rows {
+                let prefix = &cur[r * occ..r * occ + occ];
+                'scan: for (ri, trow) in scan.iter().enumerate() {
+                    for &(pp, rc) in &step.keys {
+                        let a = f.at(prefix, pp);
+                        let b = &trow[rc];
+                        // SQL equality: NULL keys never join.
+                        if a.is_null() || b.is_null() || a != b {
+                            continue 'scan;
+                        }
                     }
+                    nxt.extend_from_slice(prefix);
+                    nxt.push(ri as u32);
                 }
-                nxt.extend_from_slice(prefix);
-                nxt.push(ri as u32);
             }
         }
         std::mem::swap(cur, nxt);
@@ -800,10 +1027,6 @@ impl PlanProgram {
     /// become join keys at which step, and when each remaining conjunct is
     /// applied) replicates [`crate::spjg::execute_spj_part`] exactly.
     pub fn compile(catalog: &Catalog, expr: &SpjgExpr) -> Self {
-        assert!(
-            expr.tables.len() <= MAX_OCCS,
-            "PlanProgram supports at most {MAX_OCCS} table occurrences"
-        );
         let map = |c: ColRef| ((c.occ.0 as usize) << COL_BITS) | c.col.0 as usize;
 
         let mut applied = vec![false; expr.conjuncts.len()];
@@ -854,7 +1077,7 @@ impl PlanProgram {
     }
 
     /// Fill the per-occurrence scan table for `db`.
-    fn scans<'a>(&self, db: &'a Database, buf: &mut [&'a [Row]; MAX_OCCS]) {
+    fn scans<'a>(&self, db: &'a Database, buf: &mut [&'a [Row]]) {
         for (i, s) in self.steps.iter().enumerate() {
             buf[i] = db.rows(s.table);
         }
@@ -865,17 +1088,24 @@ impl PlanProgram {
         let ExecScratch {
             cur,
             nxt,
+            index,
             st,
             key_buf,
             groups,
             ..
         } = scratch;
-        let mut occ_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        self.scans(db, &mut occ_rows);
-        let f = PlanFetch {
-            occ_rows: &occ_rows[..self.steps.len()],
+        let n_occs = self.steps.len();
+        let mut stack: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
+        let mut heap: Vec<&[Row]>;
+        let occ_rows: &mut [&[Row]] = if n_occs <= MAX_OCCS {
+            &mut stack[..n_occs]
+        } else {
+            heap = vec![&[]; n_occs];
+            &mut heap
         };
-        let n_rows = join_steps(&self.steps, &f, cur, nxt, st);
+        self.scans(db, occ_rows);
+        let f = PlanFetch { occ_rows };
+        let n_rows = join_steps(&self.steps, &f, cur, nxt, index, st);
         let stride = self.steps.len();
         out.reset(self.output.arity());
         self.output.begin(groups);
@@ -1045,6 +1275,10 @@ pub struct SubstitutePipeline {
 impl SubstitutePipeline {
     /// Compile the pair.
     pub fn compile(catalog: &Catalog, view_expr: &SpjgExpr, sub: &Substitute) -> Self {
+        assert!(
+            view_expr.tables.len() <= MAX_OCCS,
+            "SubstitutePipeline supports at most {MAX_OCCS} view table occurrences"
+        );
         SubstitutePipeline {
             view: PlanProgram::compile(catalog, view_expr),
             sub: SubstituteProgram::compile(catalog, sub),
@@ -1068,6 +1302,7 @@ impl SubstitutePipeline {
         let ExecScratch {
             cur,
             nxt,
+            index,
             st,
             key_buf,
             groups,
@@ -1079,7 +1314,7 @@ impl SubstitutePipeline {
         let pf = PlanFetch {
             occ_rows: &occ_rows[..n_vocc],
         };
-        let n_view = join_steps(&self.view.steps, &pf, cur, nxt, st);
+        let n_view = join_steps(&self.view.steps, &pf, cur, nxt, index, st);
         let mut bj_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
         let mut bj_offs: [usize; MAX_OCCS] = [0; MAX_OCCS];
         self.sub
@@ -1159,6 +1394,7 @@ impl SubstitutePipeline {
         let ExecScratch {
             cur,
             nxt,
+            index,
             st,
             key_buf,
             groups,
@@ -1170,7 +1406,7 @@ impl SubstitutePipeline {
         let pf = PlanFetch {
             occ_rows: &occ_rows[..n_vocc],
         };
-        let n_view = join_steps(&self.view.steps, &pf, cur, nxt, st);
+        let n_view = join_steps(&self.view.steps, &pf, cur, nxt, index, st);
         query_out.reset(query.output.arity());
         query.output.begin(groups);
         for r in 0..n_view {

@@ -12,8 +12,8 @@
 //! * **SPJ**: the view is linear in each base table, so
 //!   `V(T − Δ⁻ + Δ⁺) = V(T) − V[T↦Δ⁻] + V[T↦Δ⁺]` as bags, where
 //!   `V[T↦X]` evaluates the view with `T`'s rows replaced by `X` and every
-//!   other table at its current state. Both delta joins reuse the compiled
-//!   [`PlanProgram`] for the view.
+//!   other table at its current state. Both delta joins run the view's
+//!   compiled [`PlanProgram`].
 //! * **Aggregates** (`COUNT(*)`/`SUM` over integer arguments): the same
 //!   delta joins run over the view's SPJ core (group-by expressions plus
 //!   sum arguments), then fold into counting state — per-group row count
@@ -27,6 +27,13 @@
 //! latter cannot reproduce `SumAcc`'s order-dependent float accumulation
 //! by adding and subtracting deltas. Such views are marked *dirty* by a
 //! relevant delta and recomputed by [`Maintainer::refresh`].
+//!
+//! [`Maintainer::register`] compiles one [`PlanProgram`] per view — the
+//! view's own plan, or for an incremental aggregate view its SPJ core — and
+//! that program is the only evaluator the maintainer runs: initial
+//! materialization, refresh and every delta join. Its hash-indexed joins
+//! keep the interpreter's tuple order, so recomputed float sums are
+//! bit-identical to [`execute_spjg`], which stays only as the audit oracle.
 //!
 //! The audit side ([`Maintainer::audit`], [`audit_serving`]) checks the
 //! MV4xx invariants: maintained contents equal recompute-from-scratch as
@@ -145,13 +152,10 @@ enum AggSpec {
     Sum { slot: usize, zero_default: bool },
 }
 
-/// The counting rollup of an aggregate view.
+/// The counting rollup of an aggregate view. The view's program evaluates
+/// its SPJ core: the group-by expressions followed by every sum argument.
 #[derive(Debug)]
 struct AggCore {
-    /// SPJ projection of the group-by expressions followed by every sum
-    /// argument — the shape the delta joins evaluate.
-    core: SpjgExpr,
-    prog: PlanProgram,
     n_keys: usize,
     aggs: Vec<AggSpec>,
     groups: HashMap<Vec<Value>, GroupState>,
@@ -166,15 +170,23 @@ impl AggCore {
     }
 
     /// Fold one bag of core rows with the given sign (+1 insert, −1
-    /// delete). Groups emptied by deletes are dropped.
-    fn fold(&mut self, rows: &[Row], sign: i64) {
+    /// delete). Groups this fold emptied are dropped; no other group is
+    /// visited.
+    fn fold(&mut self, rows: &RowBag, sign: i64) {
         let n_sums = self.n_sums();
-        for row in rows {
-            let key = row[..self.n_keys].to_vec();
-            let g = self.groups.entry(key).or_insert_with(|| GroupState {
-                count: 0,
-                sums: vec![SumState::default(); n_sums],
-            });
+        let mut emptied: Vec<Vec<Value>> = Vec::new();
+        for row in rows.rows() {
+            let key = &row[..self.n_keys];
+            let g = match self.groups.get_mut(key) {
+                Some(g) => g,
+                None => self
+                    .groups
+                    .entry(key.to_vec())
+                    .or_insert_with(|| GroupState {
+                        count: 0,
+                        sums: vec![SumState::default(); n_sums],
+                    }),
+            };
             g.count += sign;
             let mut si = 0;
             for spec in &self.aggs {
@@ -183,8 +195,15 @@ impl AggCore {
                     si += 1;
                 }
             }
+            if g.count <= 0 {
+                emptied.push(key.to_vec());
+            }
         }
-        self.groups.retain(|_, g| g.count > 0);
+        for key in emptied {
+            if self.groups.get(&key).is_some_and(|g| g.count <= 0) {
+                self.groups.remove(&key);
+            }
+        }
     }
 
     /// The finished aggregate rows: group key columns, then aggregate
@@ -237,9 +256,10 @@ struct MaintainedView {
     name: String,
     expr: SpjgExpr,
     strategy: MaintainStrategy,
-    /// SPJ views: the compiled view plan, reused for the delta joins.
-    prog: Option<PlanProgram>,
-    /// Aggregate views: the counting rollup.
+    /// The view's compiled plan — for incremental aggregate views, its SPJ
+    /// core — run for materialization, refresh and the delta joins.
+    prog: PlanProgram,
+    /// Incremental aggregate views: the counting rollup.
     agg: Option<AggCore>,
     /// The served contents (for aggregate views, the finished rows — kept
     /// current after every fold).
@@ -249,12 +269,34 @@ struct MaintainedView {
     dirty: bool,
 }
 
+impl MaintainedView {
+    /// Recompute the contents from the current base tables and clear the
+    /// dirty flag. `bag` is scratch for the program's output.
+    fn recompute(&mut self, db: &Database, scratch: &mut ExecScratch, bag: &mut RowBag) {
+        self.prog.execute(db, scratch, bag);
+        self.rows = match &mut self.agg {
+            Some(agg) => {
+                agg.groups.clear();
+                agg.fold(bag, 1);
+                agg.finish()
+            }
+            None => bag.to_rows(),
+        };
+        self.dirty = false;
+    }
+}
+
 /// The maintenance driver: owns the base data and every registered view's
 /// materialized state, and applies write rounds to both.
 pub struct Maintainer {
     db: Database,
     views: Vec<MaintainedView>,
+    /// Position of each registered view in `views`.
+    slots: HashMap<ViewId, usize>,
     scratch: ExecScratch,
+    /// Output scratch for the delete and insert delta joins.
+    minus: RowBag,
+    plus: RowBag,
 }
 
 impl Maintainer {
@@ -264,7 +306,10 @@ impl Maintainer {
         Maintainer {
             db,
             views: Vec::new(),
+            slots: HashMap::new(),
             scratch: ExecScratch::new(),
+            minus: RowBag::new(),
+            plus: RowBag::new(),
         }
     }
 
@@ -277,33 +322,34 @@ impl Maintainer {
     /// matching engine knows it by. Returns the chosen strategy:
     /// incremental when every base table occurs once and (for aggregate
     /// views) every aggregate is `COUNT(*)` or an integer-typed `SUM`;
-    /// recompute otherwise.
+    /// recompute otherwise. Re-registering an id replaces its state.
     pub fn register(&mut self, id: ViewId, def: &ViewDef) -> MaintainStrategy {
         let expr = def.expr.clone();
         let strategy = self.classify(&expr);
-        let rows = execute_spjg(&self.db, &expr);
-        let (prog, agg) = if strategy == MaintainStrategy::Incremental {
-            if expr.is_aggregate() {
-                let mut core_agg = build_agg_core(&self.db, &expr);
-                let core_rows = execute_spjg(&self.db, &core_agg.core);
-                core_agg.fold(&core_rows, 1);
-                (None, Some(core_agg))
-            } else {
-                (Some(PlanProgram::compile(&self.db.catalog, &expr)), None)
-            }
+        let (prog, agg) = if strategy == MaintainStrategy::Incremental && expr.is_aggregate() {
+            let (core, agg) = build_agg_core(&expr);
+            (PlanProgram::compile(&self.db.catalog, &core), Some(agg))
         } else {
-            (None, None)
+            (PlanProgram::compile(&self.db.catalog, &expr), None)
         };
-        self.views.push(MaintainedView {
+        let mut view = MaintainedView {
             id,
             name: def.name.clone(),
             expr,
             strategy,
             prog,
             agg,
-            rows,
+            rows: Vec::new(),
             dirty: false,
-        });
+        };
+        view.recompute(&self.db, &mut self.scratch, &mut self.plus);
+        match self.slots.get(&id) {
+            Some(&i) => self.views[i] = view,
+            None => {
+                self.slots.insert(id, self.views.len());
+                self.views.push(view);
+            }
+        }
         strategy
     }
 
@@ -331,26 +377,28 @@ impl Maintainer {
         MaintainStrategy::Incremental
     }
 
+    fn view(&self, id: ViewId) -> Option<&MaintainedView> {
+        self.slots.get(&id).map(|&i| &self.views[i])
+    }
+
+    fn view_mut(&mut self, id: ViewId) -> Option<&mut MaintainedView> {
+        self.slots.get(&id).map(|&i| &mut self.views[i])
+    }
+
     /// The strategy a registered view runs under.
     pub fn strategy(&self, id: ViewId) -> Option<MaintainStrategy> {
-        self.views.iter().find(|v| v.id == id).map(|v| v.strategy)
+        self.view(id).map(|v| v.strategy)
     }
 
     /// The maintained contents of a registered view (the rows a substitute
     /// scanning the view reads). `None` for unregistered ids.
     pub fn contents(&self, id: ViewId) -> Option<&[Row]> {
-        self.views
-            .iter()
-            .find(|v| v.id == id)
-            .map(|v| v.rows.as_slice())
+        self.view(id).map(|v| v.rows.as_slice())
     }
 
     /// Is the view waiting for a [`Maintainer::refresh`]?
     pub fn is_dirty(&self, id: ViewId) -> bool {
-        self.views
-            .iter()
-            .find(|v| v.id == id)
-            .is_some_and(|v| v.dirty)
+        self.view(id).is_some_and(|v| v.dirty)
     }
 
     /// Apply one write round: propagate the delta into every registered
@@ -358,12 +406,18 @@ impl Maintainer {
     /// the base table.
     pub fn apply(&mut self, delta: &TableDelta) -> DeltaReport {
         let mut report = DeltaReport::default();
+        let Maintainer {
+            db,
+            views,
+            scratch,
+            minus,
+            plus,
+            ..
+        } = self;
         // The delta joins evaluate against the *current* base state with
         // only the written table overridden, so propagation runs before
-        // the base apply. `swap_rows` lends the override to the database
-        // and takes it back without copying.
-        let mut views = std::mem::take(&mut self.views);
-        for view in &mut views {
+        // the base apply.
+        for view in views.iter_mut() {
             if !view.expr.tables.contains(&delta.table) {
                 continue;
             }
@@ -372,19 +426,18 @@ impl Maintainer {
                 report.marked_dirty += 1;
                 continue;
             }
-            let minus = self.eval_delta(view, delta.table, &delta.deletes);
-            let plus = self.eval_delta(view, delta.table, &delta.inserts);
+            eval_delta(db, scratch, &view.prog, delta.table, &delta.deletes, minus);
+            eval_delta(db, scratch, &view.prog, delta.table, &delta.inserts, plus);
             if let Some(agg) = &mut view.agg {
-                agg.fold(&minus, -1);
-                agg.fold(&plus, 1);
+                agg.fold(minus, -1);
+                agg.fold(plus, 1);
                 view.rows = agg.finish();
             } else {
-                bag_remove(&mut view.rows, &minus);
-                view.rows.extend(plus);
+                bag_remove(&mut view.rows, minus);
+                view.rows.extend(plus.rows().map(<[Value]>::to_vec));
             }
             report.maintained += 1;
         }
-        self.views = views;
         report.rows_deleted = self.db.delete_rows(delta.table, &delta.deletes);
         self.db.insert_rows(delta.table, &delta.inserts);
         report
@@ -392,10 +445,10 @@ impl Maintainer {
 
     /// [`Maintainer::apply`] plus engine bookkeeping: records the write
     /// round ([`MatchingEngine::record_base_write`]) and restamps every
-    /// view updated in place ([`MatchingEngine::mark_view_maintained`]),
-    /// so freshness-aware matching sees exactly the views whose contents
-    /// track the new data. Dirty views stay stale until
-    /// [`Maintainer::refresh_with_engine`].
+    /// view updated in place in one snapshot publication
+    /// ([`MatchingEngine::mark_views_maintained`]), so freshness-aware
+    /// matching sees exactly the views whose contents track the new data.
+    /// Dirty views stay stale until [`Maintainer::refresh_with_engine`].
     pub fn apply_with_engine(
         &mut self,
         delta: &TableDelta,
@@ -403,57 +456,23 @@ impl Maintainer {
     ) -> DeltaReport {
         engine.record_base_write(delta.table);
         let report = self.apply(delta);
-        for view in &self.views {
-            if view.expr.tables.contains(&delta.table) && !view.dirty {
-                engine.mark_view_maintained(view.id);
-            }
-        }
+        let maintained: Vec<ViewId> = self
+            .views
+            .iter()
+            .filter(|v| v.expr.tables.contains(&delta.table) && !v.dirty)
+            .map(|v| v.id)
+            .collect();
+        engine.mark_views_maintained(&maintained);
         report
     }
 
-    /// Evaluate the view's delta join: its plan (or SPJ core) with
-    /// `table`'s rows replaced by `delta_rows`.
-    fn eval_delta(
-        &mut self,
-        view: &MaintainedView,
-        table: TableId,
-        delta_rows: &[Row],
-    ) -> Vec<Row> {
-        if delta_rows.is_empty() {
-            return Vec::new();
-        }
-        let mut override_rows: Vec<Row> = delta_rows.to_vec();
-        self.db.swap_rows(table, &mut override_rows);
-        let out = if let Some(agg) = &view.agg {
-            let mut bag = RowBag::new();
-            agg.prog.execute(&self.db, &mut self.scratch, &mut bag);
-            bag.to_rows()
-        } else if let Some(prog) = &view.prog {
-            let mut bag = RowBag::new();
-            prog.execute(&self.db, &mut self.scratch, &mut bag);
-            bag.to_rows()
-        } else {
-            execute_spjg(&self.db, &view.expr)
-        };
-        self.db.swap_rows(table, &mut override_rows);
-        out
-    }
-
-    /// Recompute a view from the base tables and clear its dirty flag.
-    /// Returns `false` for unregistered ids.
+    /// Recompute a view from the base tables, in place, and clear its
+    /// dirty flag. Returns `false` for unregistered ids.
     pub fn refresh(&mut self, id: ViewId) -> bool {
-        let Some(i) = self.views.iter().position(|v| v.id == id) else {
+        let Some(&i) = self.slots.get(&id) else {
             return false;
         };
-        let mut view = self.views.swap_remove(i);
-        view.rows = execute_spjg(&self.db, &view.expr);
-        if let Some(agg) = &mut view.agg {
-            agg.groups.clear();
-            let core_rows = execute_spjg(&self.db, &agg.core);
-            agg.fold(&core_rows, 1);
-        }
-        view.dirty = false;
-        self.views.push(view);
+        self.views[i].recompute(&self.db, &mut self.scratch, &mut self.plus);
         true
     }
 
@@ -469,14 +488,10 @@ impl Maintainer {
 
     /// Recompute every dirty view.
     pub fn refresh_all(&mut self) {
-        let dirty: Vec<ViewId> = self
-            .views
-            .iter()
-            .filter(|v| v.dirty)
-            .map(|v| v.id)
-            .collect();
-        for id in dirty {
-            self.refresh(id);
+        for view in &mut self.views {
+            if view.dirty {
+                view.recompute(&self.db, &mut self.scratch, &mut self.plus);
+            }
         }
     }
 
@@ -528,7 +543,7 @@ impl Maintainer {
     /// outside tests.
     #[doc(hidden)]
     pub fn corrupt_drop_row_for_audit(&mut self, id: ViewId) -> bool {
-        let Some(view) = self.views.iter_mut().find(|v| v.id == id) else {
+        let Some(view) = self.view_mut(id) else {
             return false;
         };
         if view.rows.is_empty() {
@@ -544,7 +559,7 @@ impl Maintainer {
     /// Never call outside tests.
     #[doc(hidden)]
     pub fn corrupt_zombie_group_for_audit(&mut self, id: ViewId, key: Vec<Value>) -> bool {
-        let Some(view) = self.views.iter_mut().find(|v| v.id == id) else {
+        let Some(view) = self.view_mut(id) else {
             return false;
         };
         let Some(agg) = &mut view.agg else {
@@ -587,9 +602,10 @@ fn finish_with_zombies(agg: &AggCore) -> Vec<Row> {
     out
 }
 
-/// Build the counting rollup for an aggregate view: the SPJ core projects
-/// the group-by expressions, then one column per `SUM` argument.
-fn build_agg_core(db: &Database, expr: &SpjgExpr) -> AggCore {
+/// Build the counting rollup for an aggregate view, with the SPJ core it
+/// folds: the core projects the group-by expressions, then one column per
+/// `SUM` argument.
+fn build_agg_core(expr: &SpjgExpr) -> (SpjgExpr, AggCore) {
     let OutputList::Aggregate {
         group_by,
         aggregates,
@@ -624,24 +640,46 @@ fn build_agg_core(db: &Database, expr: &SpjgExpr) -> AggCore {
         conjuncts: expr.conjuncts.clone(),
         output: OutputList::Spj(outputs),
     };
-    let prog = PlanProgram::compile(&db.catalog, &core);
-    AggCore {
-        core,
-        prog,
+    let agg = AggCore {
         n_keys,
         aggs,
         groups: HashMap::new(),
+    };
+    (core, agg)
+}
+
+/// Evaluate a view's delta join into `out`: its program with `table`'s
+/// rows replaced by `delta_rows`. `swap_rows` lends the override to the
+/// database and takes it back without copying the table.
+fn eval_delta(
+    db: &mut Database,
+    scratch: &mut ExecScratch,
+    prog: &PlanProgram,
+    table: TableId,
+    delta_rows: &[Row],
+    out: &mut RowBag,
+) {
+    if delta_rows.is_empty() {
+        out.clear();
+        return;
     }
+    let mut override_rows: Vec<Row> = delta_rows.to_vec();
+    db.swap_rows(table, &mut override_rows);
+    prog.execute(db, scratch, out);
+    db.swap_rows(table, &mut override_rows);
 }
 
 /// Remove each row of `minus` from `rows` once, bag-style. Returns the
 /// number actually removed (a shortfall means the delta join produced rows
 /// the maintained bag did not hold — drift the audit will flag).
-fn bag_remove(rows: &mut Vec<Row>, minus: &[Row]) -> usize {
-    let mut pending: Vec<&Row> = minus.iter().collect();
+fn bag_remove(rows: &mut Vec<Row>, minus: &RowBag) -> usize {
+    if minus.is_empty() {
+        return 0;
+    }
+    let mut pending: Vec<&[Value]> = minus.rows().collect();
     let before = rows.len();
     rows.retain(|r| {
-        if let Some(pos) = pending.iter().position(|p| *p == r) {
+        if let Some(pos) = pending.iter().position(|p| *p == r.as_slice()) {
             pending.swap_remove(pos);
             false
         } else {

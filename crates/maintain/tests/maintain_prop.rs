@@ -243,3 +243,39 @@ fn dedup_bag(mut rows: Vec<Row>) -> Vec<Row> {
     }
     out
 }
+
+/// A view wider than the prove pipeline's occurrence limit (16): a
+/// 17-way self-join chain on `r.pk`. It registers on the recompute path,
+/// goes dirty on a write, refreshes, and matches recompute throughout.
+#[test]
+fn seventeen_occurrence_view_registers_and_refreshes() {
+    let (mut f, r, _) = fixture(7);
+    let n = 17u32;
+    let chain: Vec<BoolExpr> = (1..n)
+        .map(|o| BoolExpr::col_eq(cr(o - 1, 0), cr(o, 0)))
+        .collect();
+    let wide = SpjgExpr::spj(
+        vec![r; n as usize],
+        BoolExpr::and(chain),
+        vec![
+            NamedExpr::new(S::col(cr(0, 0)), "pk"),
+            NamedExpr::new(S::col(cr(n - 1, 2)), "x"),
+        ],
+    );
+    let id = ViewId(100);
+    let got = f
+        .maintainer
+        .register(id, &ViewDef::new("wide", wide.clone()));
+    assert_eq!(got, MaintainStrategy::Recompute);
+    f.views.push((id, wide));
+    assert_eq!(f.maintainer.contents(id).map(<[Row]>::len), Some(6));
+    check_all(&mut f, 0);
+
+    let mut st = 99u64;
+    let mut next_pk = 1000i64;
+    let rows = (0..3).map(|_| r_row(&mut st, &mut next_pk)).collect();
+    f.maintainer.apply(&TableDelta::insert(r, rows));
+    assert!(f.maintainer.is_dirty(id));
+    check_all(&mut f, 1);
+    assert_eq!(f.maintainer.contents(id).map(<[Row]>::len), Some(9));
+}
