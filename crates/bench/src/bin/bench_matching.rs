@@ -22,8 +22,9 @@
 //!
 //! Serial records drive `find_substitutes` one query at a time on an
 //! engine pinned to the serial path; parallel records drive
-//! `find_substitutes_batch` over the same queries sharing the engine
-//! across worker threads. Uniform-workload engines run with the
+//! `find_substitutes_many` (one snapshot pin, identical queries grouped,
+//! groups fanned out) over the same queries sharing the
+//! engine across worker threads. Uniform-workload engines run with the
 //! substitute cache off (the measurement loop repeats each query, which
 //! would otherwise measure pure cache hits); the `zipf` records measure
 //! exactly that repeated-template regime instead — a skewed stream over
@@ -62,7 +63,7 @@
 //!
 //! Each scale point also emits a `batched` record driving
 //! `find_substitutes_many` over the skewed stream (cache off): the
-//! duplicate-heavy batch forms fingerprint groups, so the record
+//! duplicate-heavy batch forms groups of identical queries, so the record
 //! measures what one-snapshot-pin, one-descent-per-group batching buys
 //! over the serial cold stream. Uniform-serial rows additionally carry
 //! `rss_bytes_per_view` (resident-set growth of the bulk registration,
@@ -259,7 +260,7 @@ fn run_serial(engine: &MatchingEngine, queries: &[SpjgExpr]) -> (Vec<Duration>, 
     (latencies, qps)
 }
 
-/// Drive `find_substitutes_batch` over the whole query list; throughput
+/// Drive `find_substitutes_many` over the whole query list; throughput
 /// from the batch entry point, latencies from an identically-shaped timed
 /// fan-out over the same shared engine.
 fn run_parallel(
@@ -269,13 +270,13 @@ fn run_parallel(
 ) -> (Vec<Duration>, f64) {
     let once = {
         let t = Instant::now();
-        std::hint::black_box(engine.find_substitutes_batch(queries));
+        std::hint::black_box(engine.find_substitutes_many(queries));
         t.elapsed()
     };
     let reps = calibrate_reps(once, MEASURE_TARGET);
     let started = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(engine.find_substitutes_batch(queries));
+        std::hint::black_box(engine.find_substitutes_many(queries));
     }
     let total = started.elapsed();
     let qps = (queries.len() * reps) as f64 / total.as_secs_f64();
@@ -352,7 +353,7 @@ fn measure(w: &Workload, args: &Args, views: usize, workers: usize) -> (Record, 
 }
 
 /// Drive `find_substitutes_many` over the skewed stream, cache off: the
-/// duplicate-heavy batch makes real fingerprint groups, so the record
+/// duplicate-heavy batch makes real groups of identical queries, so the record
 /// measures the amortization the batched entry point buys (one snapshot
 /// pin, one tree descent per group). Per-query latency is the batch
 /// wall-clock divided evenly — individual queries are not timed inside
@@ -866,8 +867,8 @@ fn entry_json(records: &[Record], args: &Args, workers: usize, extra_runs: Vec<J
         .unwrap_or(0);
     let note = String::from(
         "parallel tuning: packed candidate scan min_chunk=64, auto mode falls back \
-         to serial below 32 candidates/worker; batched rows drive \
-         find_substitutes_many (one snapshot pin, fingerprint-grouped); prove \
+         to serial below 32 candidates/worker; parallel and batched rows drive \
+         find_substitutes_many (one snapshot pin, identical queries grouped); prove \
          smoke runs the compiled-program prover (structured prove row)",
     );
     let mut runs: Vec<Json> = records.iter().map(record_json).collect();

@@ -2,7 +2,7 @@
 //! the `find_substitutes` entry point that a transformation-based optimizer
 //! invokes as its view-matching rule.
 
-use crate::cache::{fingerprint, CacheLookup, Fingerprint, SubstituteCache};
+use crate::cache::{fingerprint, CacheLookup, SubstituteCache};
 use crate::descriptor::{PackedCatalog, PackedProbe, PreparedView};
 use crate::filter::{FilterTree, LevelSearch};
 use crate::fkgraph::{build_fk_graph, compute_hub};
@@ -15,6 +15,7 @@ use mv_parallel::sync::{lock_or_recover, Arc, Mutex, MutexGuard};
 use mv_parallel::Published;
 use mv_plan::{AggFunc, Freshness, OutputList, SpjgExpr, Substitute, ViewDef, ViewId, ViewSet};
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 /// Number of filter-tree levels for SPJ views (hub, source tables, output
@@ -147,22 +148,24 @@ struct CatalogSnapshot {
     checks: Arc<HashMap<TableId, Vec<Conjunct>>>,
     /// Views dropped with `remove_view`. Matching skips them.
     removed: Arc<HashSet<ViewId>>,
-    /// Per-table invalidation epochs, indexed by `TableId`. A write bumps
-    /// exactly the tables it can affect (the view's tables, or the
-    /// constraint's table); cached results are stamped with the epochs of
-    /// their query's tables and go stale only when one of *those* moves.
+    /// Per-table invalidation epochs, indexed by `TableId`. A catalog
+    /// change (never a base write or restamp) bumps exactly the tables it
+    /// can affect (the view's tables, or the constraint's table); cached
+    /// results are stamped with the epochs of their query's tables and go
+    /// stale only when one of *those* moves.
     table_epochs: Vec<u64>,
     /// Per-table *data* epochs, indexed by `TableId`: how many base-table
     /// write rounds [`MatchingEngine::record_base_write`] has recorded.
     /// Distinct from `table_epochs` (which counts *catalog* changes —
     /// registrations, removals, constraints — for cache invalidation):
     /// data epochs measure how far a view's materialized state may trail
-    /// the base data.
+    /// the base data, and never touch the substitute cache.
     data_epochs: Vec<u64>,
     /// Per-view data-epoch stamp: the data epochs of the view's distinct
     /// base tables (ascending by table) as of the view's registration or
     /// last [`MatchingEngine::mark_view_maintained`]. The gap between a
-    /// stamp and `data_epochs` is the view's staleness lag.
+    /// stamp and `data_epochs` is the view's staleness lag, which the
+    /// freshness gate reads on the pinned snapshot.
     view_stamps: Arc<HashMap<ViewId, Vec<(TableId, u64)>>>,
     /// Monotone publication counter (diagnostics; every write bumps it).
     epoch: u64,
@@ -253,7 +256,7 @@ impl CatalogSnapshot {
 /// The engine is an *online catalog*: every method — registration
 /// (`add_view`, `add_views`, `remove_view`, `add_check_constraint`) as
 /// well as the whole matching path (`find_substitutes`,
-/// `find_substitutes_batch`, `candidates`, `match_one`) — takes `&self`,
+/// `find_substitutes_many`, `candidates`, `match_one`) — takes `&self`,
 /// so writers run concurrently with matchers. Writers serialize among
 /// themselves on an internal mutex, build the next immutable
 /// [`CatalogSnapshot`] by copy-on-write, and publish it with one atomic
@@ -272,8 +275,9 @@ pub struct MatchingEngine {
     /// Serializes snapshot builders; never held by readers.
     writer: Mutex<()>,
     stats: AtomicMatchStats,
-    /// Fingerprint-keyed cache of complete `find_substitutes` results,
-    /// invalidated per table via the snapshot's `table_epochs`.
+    /// Fingerprint-keyed cache of catalog-only `find_substitutes` results
+    /// (before the freshness gate), invalidated per table via the
+    /// snapshot's `table_epochs`.
     cache: SubstituteCache,
 }
 
@@ -422,46 +426,34 @@ impl MatchingEngine {
 
     /// Record a write round against a base table: bump its *data epoch*,
     /// so every view over it becomes one round stale until
-    /// [`MatchingEngine::mark_view_maintained`] restamps it. Invalidates
-    /// exactly the cached results the staleness change can affect: a view
-    /// over `table` can serve any query whose tables are a subset of the
-    /// view's, so the invalidation bump covers `table` plus every table of
-    /// every live view that references `table`.
+    /// [`MatchingEngine::mark_view_maintained`] restamps it. Leaves the
+    /// substitute cache alone: cached results depend on the catalog only,
+    /// and the freshness gate reads the new epoch on the next match.
     pub fn record_base_write(&self, table: TableId) {
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
         if let Some(e) = next.data_epochs.get_mut(table.0 as usize) {
             *e += 1;
         }
-        let mut affected: Vec<TableId> = vec![table];
-        for stamp in next.view_stamps.values() {
-            if stamp.iter().any(|&(t, _)| t == table) {
-                affected.extend(stamp.iter().map(|&(t, _)| t));
-            }
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        next.bump_tables(affected);
+        next.epoch += 1;
         self.shared.store(Arc::new(next));
     }
 
     /// Stamp a view's materialized state as maintained up to the current
     /// data epochs of its base tables (the maintenance side calls this
-    /// after applying deltas to the view's contents). Invalidates cached
-    /// results over the view's tables: under a freshness policy the view
-    /// may newly qualify as a substitute. Returns `false` for removed or
-    /// out-of-range ids. The one-view case of
+    /// after applying deltas to the view's contents). Returns `false` for
+    /// removed or out-of-range ids. The one-view case of
     /// [`MatchingEngine::mark_views_maintained`].
     pub fn mark_view_maintained(&self, id: ViewId) -> bool {
         self.mark_views_maintained(&[id]) == 1
     }
 
     /// Restamp a set of views as maintained up to the current data epochs,
-    /// in one clone-modify-publish: the stamps are updated together and
-    /// the union of the views' tables is bumped once, so a write round
-    /// that maintained many views publishes one snapshot. Removed and
-    /// out-of-range ids are skipped; nothing is published when none
-    /// remain. Returns how many views were restamped.
+    /// in one clone-modify-publish, so a write round that maintained many
+    /// views publishes one snapshot. Like a base write, a restamp leaves
+    /// the substitute cache alone. Removed and out-of-range ids are
+    /// skipped; nothing is published when none remain. Returns how many
+    /// views were restamped.
     pub fn mark_views_maintained(&self, ids: &[ViewId]) -> usize {
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
@@ -476,15 +468,9 @@ impl MatchingEngine {
         if restamps.is_empty() {
             return 0;
         }
-        let mut tables: Vec<TableId> = restamps
-            .iter()
-            .flat_map(|(_, stamp)| stamp.iter().map(|&(t, _)| t))
-            .collect();
-        tables.sort_unstable();
-        tables.dedup();
         let n = restamps.len();
         Arc::make_mut(&mut next.view_stamps).extend(restamps);
-        next.bump_tables(tables);
+        next.epoch += 1;
         self.shared.store(Arc::new(next));
         n
     }
@@ -533,9 +519,8 @@ impl MatchingEngine {
             .into_iter()
             .map(|(t, e)| (t, e + lead))
             .collect();
-        let tables: Vec<TableId> = forged.iter().map(|&(t, _)| t).collect();
         Arc::make_mut(&mut next.view_stamps).insert(id, forged);
-        next.bump_tables(tables);
+        next.epoch += 1;
         self.shared.store(Arc::new(next));
         true
     }
@@ -1025,20 +1010,9 @@ impl MatchingEngine {
             if !snap.packed.precheck(id, &probe) {
                 return None;
             }
-            // Freshness gate: the view's materialized state must be within
-            // the configured staleness bound of the current data epochs.
-            // Checked before the (costlier) matching tests, and the lag is
-            // stamped onto the substitute so callers see the guarantee.
-            let lag = snap.view_lag(id);
-            if !self.config.freshness.admits(lag) {
-                return None;
-            }
             let view = snap.views.get(id);
             let pv = snap.packed.prepared(id);
-            match_view_prepared(&self.catalog, &self.config, &pq, id, view, pv).map(|mut sub| {
-                sub.freshness = Freshness::from_lag(lag);
-                (id, sub)
-            })
+            match_view_prepared(&self.catalog, &self.config, &pq, id, view, pv).map(|sub| (id, sub))
         };
         let workers = self.config.match_workers(candidates.len());
         if workers > 1 {
@@ -1054,8 +1028,22 @@ impl MatchingEngine {
         }
     }
 
+    /// The freshness gate, the one place [`MatchConfig::freshness`] is
+    /// applied: drop every substitute whose view lags the pinned
+    /// snapshot's data epochs by more than the policy admits, and stamp
+    /// the lag onto the rest. Runs after the substitute cache, so cached
+    /// results stay catalog-only and base writes never invalidate them.
+    fn gate_freshness(&self, snap: &CatalogSnapshot, results: &mut Vec<(ViewId, Substitute)>) {
+        results.retain_mut(|(id, sub)| {
+            let lag = snap.view_lag(*id);
+            sub.freshness = Freshness::from_lag(lag);
+            self.config.freshness.admits(lag)
+        });
+    }
+
     /// Filter, match and debug-verify — the uncached matching pipeline.
-    /// Returns the substitutes, the candidate count, and the filter time.
+    /// Returns the catalog-only substitutes (freshness not yet gated), the
+    /// candidate count, and the filter time.
     fn compute_substitutes(
         &self,
         snap: &CatalogSnapshot,
@@ -1088,10 +1076,12 @@ impl MatchingEngine {
     /// [`MatchConfig::substitute_cache_capacity`]), a repeated query shape
     /// returns the cached result — byte-identical to a fresh computation,
     /// which debug builds prove with a differential assertion on every
-    /// hit. Entries are stamped with the invalidation epochs of the
-    /// query's tables, so a registration over disjoint tables leaves them
-    /// valid. Hits replay the original candidate count into the stats so
-    /// counter totals stay path-independent.
+    /// hit. Entries hold what the catalog alone determines, stamped with
+    /// the invalidation epochs of the query's tables: a registration over
+    /// disjoint tables, a base write or a restamp leaves them valid, and
+    /// [`MatchConfig::freshness`] is applied after the cache. Hits replay
+    /// the original candidate count into the stats so counter totals stay
+    /// path-independent.
     pub fn find_substitutes(&self, query: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
         let snap = self.snapshot();
         self.find_substitutes_in(&snap, query).0
@@ -1107,17 +1097,29 @@ impl MatchingEngine {
         query: &SpjgExpr,
     ) -> (Vec<(ViewId, Substitute)>, usize) {
         let started = self.config.timing.then(Instant::now);
-        if !self.cache.is_enabled() {
-            let (out, n_candidates, filter_time) = self.compute_substitutes(snap, query);
-            self.stats.record(
-                n_candidates,
-                snap.live_view_count(),
-                out.len(),
-                filter_time,
-                elapsed(started),
-            );
-            return (out, n_candidates);
-        }
+        let (mut out, n_candidates, filter_time) = if self.cache.is_enabled() {
+            self.cached_substitutes(snap, query)
+        } else {
+            self.compute_substitutes(snap, query)
+        };
+        self.gate_freshness(snap, &mut out);
+        self.stats.record(
+            n_candidates,
+            snap.live_view_count(),
+            out.len(),
+            filter_time,
+            elapsed(started),
+        );
+        (out, n_candidates)
+    }
+
+    /// The catalog-only result through the substitute cache: a hit
+    /// replays the stored result, a miss computes and stores it.
+    fn cached_substitutes(
+        &self,
+        snap: &CatalogSnapshot,
+        query: &SpjgExpr,
+    ) -> (Vec<(ViewId, Substitute)>, usize, Duration) {
         let fp = fingerprint(query);
         let stamp = snap.table_stamp(query);
         match self.cache.lookup(fp.hash, &fp.render, &stamp) {
@@ -1139,14 +1141,7 @@ impl MatchingEngine {
                     );
                 }
                 self.stats.record_cache_hit();
-                self.stats.record(
-                    candidates,
-                    snap.live_view_count(),
-                    results.len(),
-                    Duration::ZERO,
-                    elapsed(started),
-                );
-                return (results, candidates);
+                return (results, candidates, Duration::ZERO);
             }
             CacheLookup::Stale => self.stats.record_cache_invalidation(),
             CacheLookup::Miss | CacheLookup::Disabled => {}
@@ -1159,13 +1154,6 @@ impl MatchingEngine {
         if !skip_miss_stat {
             self.stats.record_cache_miss();
         }
-        self.stats.record(
-            n_candidates,
-            snap.live_view_count(),
-            out.len(),
-            filter_time,
-            elapsed(started),
-        );
         // The entry MUST carry the stamp of the pinned snapshot the
         // results were computed from. Re-deriving it from the currently
         // published snapshot (the STAMP_AFTER_PUBLISH mutation) stamps
@@ -1177,9 +1165,21 @@ impl MatchingEngine {
         } else {
             stamp
         };
+        // The entry MUST hold the ungated result. Gating before the insert
+        // (the CACHE_GATED_RESULTS mutation) caches a stale view's
+        // absence, which outlives the view's restamp: no catalog epoch
+        // moves when a view is maintained.
+        #[cfg(mv_model)]
+        let out = if crate::mutation::active(crate::mutation::CACHE_GATED_RESULTS) {
+            let mut gated = out;
+            self.gate_freshness(snap, &mut gated);
+            gated
+        } else {
+            out
+        };
         self.cache
             .insert(fp.hash, fp.render, stamp, n_candidates, out.clone());
-        (out, n_candidates)
+        (out, n_candidates, filter_time)
     }
 
     /// Drop every cached `find_substitutes` result (capacity unchanged).
@@ -1192,21 +1192,15 @@ impl MatchingEngine {
         self.cache.len()
     }
 
-    /// Match a whole batch of queries, fanning out across threads — the
-    /// entry point for workload drivers and multi-query optimization.
-    /// Results arrive in query order, each entry byte-identical to what
-    /// [`MatchingEngine::find_substitutes`] returns for that query;
-    /// instrumentation counters accumulate across all workers.
-    pub fn find_substitutes_batch(&self, queries: &[SpjgExpr]) -> Vec<Vec<(ViewId, Substitute)>> {
-        let workers = self.config.batch_workers(queries.len());
-        mv_parallel::par_map(queries, workers, |q| self.find_substitutes(q))
-    }
-
-    /// Batched matching for bursts of queries: pins **one** catalog
-    /// snapshot for the whole batch and groups the queries by cache
-    /// fingerprint, so repeated query shapes — the common case in a
-    /// workload replay — pay one filter-tree descent per distinct shape
-    /// instead of one per query. Groups fan out through `mv-parallel`.
+    /// Batched matching for bursts of queries, the one batch entry point:
+    /// pins **one** catalog snapshot for the whole batch and groups
+    /// identical queries, so a repeated query — the common case in a
+    /// workload replay — pays one match per distinct query instead of one
+    /// per arrival. Groups fan out through `mv-parallel`. Grouping hashes
+    /// the expressions ([`BatchKey`]), far cheaper than a fingerprint
+    /// render, so a batch of distinct queries costs about what matching
+    /// them one by one does; α-equivalent variants are matched separately
+    /// and, with the cache on, share its entry like any repeated shape.
     ///
     /// Results arrive in query order, each entry byte-identical to what
     /// [`MatchingEngine::find_substitutes`] returns for that query, and
@@ -1214,70 +1208,46 @@ impl MatchingEngine {
     /// every query had been matched individually (replayed group members
     /// record the representative's candidate count, like a cache hit).
     pub fn find_substitutes_many(&self, queries: &[SpjgExpr]) -> Vec<Vec<(ViewId, Substitute)>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
         let snap = self.snapshot();
-        // Sort query indices by fingerprint so equal shapes become
-        // consecutive runs; the index tiebreak keeps the representative
-        // (first member) deterministic.
-        let fps: Vec<Fingerprint> = queries.iter().map(fingerprint).collect();
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            (fps[a].hash, &fps[a].render, a).cmp(&(fps[b].hash, &fps[b].render, b))
-        });
-        let mut groups: Vec<&[usize]> = Vec::new();
-        let mut start = 0;
-        for i in 1..=order.len() {
-            if i == order.len()
-                || fps[order[i]].hash != fps[order[start]].hash
-                || fps[order[i]].render != fps[order[start]].render
-            {
-                groups.push(&order[start..i]);
-                start = i;
-            }
+        // Groups in order of first arrival; the first member is the
+        // representative.
+        let mut index: HashMap<BatchKey, usize> = HashMap::with_capacity(queries.len());
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let g = *index.entry(BatchKey(q)).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(i);
         }
         let workers = self.config.batch_workers(groups.len());
         let matched = mv_parallel::par_map(&groups, workers, |group| {
             let started = self.config.timing.then(Instant::now);
-            let rep = group[0];
-            let (results, n_candidates) = self.find_substitutes_in(&snap, &queries[rep]);
-            // Replay the representative's result for the other members:
-            // same fingerprint means the same substitutes up to output
-            // names, which are restamped per query (mirrors a cache hit).
-            let replays: Vec<Vec<(ViewId, Substitute)>> = group[1..]
-                .iter()
-                .map(|&qi| {
-                    let mut r = results.clone();
-                    restamp_output_names(&mut r, &queries[qi]);
-                    #[cfg(debug_assertions)]
-                    self.debug_verify(&snap, &queries[qi], &r);
-                    // A replay is served from the representative's result
-                    // exactly as a cache hit serves a repeated query, so it
-                    // must move the cache counters the same way the
-                    // per-query path would (the representative already
-                    // recorded its own hit or miss).
-                    if self.cache.is_enabled() {
-                        self.stats.record_cache_hit();
-                    }
-                    self.stats.record(
-                        n_candidates,
-                        snap.live_view_count(),
-                        r.len(),
-                        Duration::ZERO,
-                        elapsed(started),
-                    );
-                    r
-                })
-                .collect();
-            (results, replays)
+            let (results, n_candidates) = self.find_substitutes_in(&snap, &queries[group[0]]);
+            // A replay is served from the representative's result exactly
+            // as a cache hit serves a repeated query, so it moves the
+            // counters the way the per-query path would (the
+            // representative already recorded its own hit or miss).
+            for _ in &group[1..] {
+                if self.cache.is_enabled() {
+                    self.stats.record_cache_hit();
+                }
+                self.stats.record(
+                    n_candidates,
+                    snap.live_view_count(),
+                    results.len(),
+                    Duration::ZERO,
+                    elapsed(started),
+                );
+            }
+            results
         });
         let mut out: Vec<Vec<(ViewId, Substitute)>> = vec![Vec::new(); queries.len()];
-        for (group, (rep_result, replays)) in groups.iter().zip(matched) {
-            out[group[0]] = rep_result;
-            for (&qi, r) in group[1..].iter().zip(replays) {
-                out[qi] = r;
+        for (group, results) in groups.iter().zip(matched) {
+            for &qi in &group[1..] {
+                out[qi] = results.clone();
             }
+            out[group[0]] = results;
         }
         out
     }
@@ -1316,30 +1286,22 @@ impl MatchingEngine {
         if snap.removed.contains(&view) || (view.0 as usize) >= snap.views.len() {
             return None;
         }
-        // Same freshness gate and stamp as the batch path, so a single
-        // probe and `find_substitutes` never disagree on admissibility.
-        let lag = snap.view_lag(view);
-        if !self.config.freshness.admits(lag) {
-            return None;
-        }
         let pq = PreparedQuery::new(query, qsum);
-        let result = match_view_prepared(
+        let sub = match_view_prepared(
             &self.catalog,
             &self.config,
             &pq,
             view,
             snap.views.get(view),
             snap.packed.prepared(view),
-        )
-        .map(|mut sub| {
-            sub.freshness = Freshness::from_lag(lag);
-            sub
-        });
+        )?;
+        // Same freshness gate as `find_substitutes`, so a single probe and
+        // the full match never disagree on admissibility or stamp.
+        let mut result = vec![(view, sub)];
+        self.gate_freshness(snap, &mut result);
         #[cfg(debug_assertions)]
-        if let Some(sub) = &result {
-            self.debug_verify(snap, query, std::slice::from_ref(&(view, sub.clone())));
-        }
-        result
+        self.debug_verify(snap, query, &result);
+        result.pop().map(|(_, sub)| sub)
     }
 
     // ------------------------------------------------------------------
@@ -1693,6 +1655,26 @@ impl std::ops::Deref for ChecksGuard {
     type Target = HashMap<TableId, Vec<Conjunct>>;
     fn deref(&self) -> &HashMap<TableId, Vec<Conjunct>> {
         &self.snap.checks
+    }
+}
+
+/// [`MatchingEngine::find_substitutes_many`]'s grouping key: equal keys
+/// are equal queries. The hash skips output names, the costliest part to
+/// hash, so queries that differ only in names share a bucket and
+/// equality tells them apart.
+#[derive(PartialEq, Eq)]
+struct BatchKey<'a>(&'a SpjgExpr);
+
+impl Hash for BatchKey<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.0.tables.hash(h);
+        self.0.conjuncts.hash(h);
+        for ne in self.0.scalar_outputs() {
+            ne.expr.hash(h);
+        }
+        for na in self.0.aggregate_outputs() {
+            na.func.hash(h);
+        }
     }
 }
 
@@ -2231,24 +2213,25 @@ mod tests {
         let fresh = engine.find_substitutes(&q);
         assert!(fresh.iter().all(|(_, s)| s.freshness.is_fresh()));
         engine.record_base_write(t.part);
-        // StaleOk (the default) still serves, but the stamp says stale —
-        // and the write invalidated the cached entry, so the stale stamp
-        // is actually visible rather than replayed from cache.
+        // StaleOk (the default) still serves, but the stamp says stale.
+        // The write leaves the cached entry valid: the hit is replayed and
+        // the freshness gate stamps it from the current data epochs.
         let stale = engine.find_substitutes(&q);
         assert_eq!(stale.len(), fresh.len());
         assert!(stale
             .iter()
             .all(|(_, s)| s.freshness == Freshness::Stale { lag: 1 }));
-        assert_eq!(engine.stats().cache_invalidations, 1);
+        let stats = engine.stats();
+        assert!(stats.cache_hits == 1 && stats.cache_invalidations == 0);
     }
 
     #[test]
-    fn base_write_invalidates_via_view_table_closure() {
+    fn write_to_eliminated_table_stamps_cached_hit_stale() {
         // A view may cover more tables than the queries it serves (e.g.
-        // after FK elimination), so `record_base_write` must bump the
-        // epochs of *all* tables of every view containing the written
-        // table — a cached query over a subset of the view's tables would
-        // otherwise keep serving the old freshness stamp.
+        // after FK elimination). A write to such a table never touches the
+        // query's cache stamp, yet the served substitute must carry the
+        // view's new lag: the freshness gate after the cache reads the
+        // view's own stamp, not the query's tables.
         let (cat, t) = tpch_catalog();
         let engine = MatchingEngine::new(cat, MatchConfig::default());
         // View joining orders to customer; queries over orders alone can
@@ -2274,13 +2257,44 @@ mod tests {
             "FK elimination serves orders from the join view"
         );
         // Writing *customer* — a table the query never references — still
-        // changes the view's freshness, so the cached entry must go stale
-        // and the re-match must carry the new stamp.
+        // changes the view's freshness, so the cached hit must carry the
+        // new stamp.
         engine.record_base_write(t.customer);
         let after = engine.find_substitutes(&q);
         assert_eq!(after.len(), 1);
         assert_eq!(after[0].1.freshness, Freshness::Stale { lag: 1 });
-        assert_eq!(engine.stats().cache_invalidations, 1);
+        let stats = engine.stats();
+        assert!(stats.cache_hits == 1 && stats.cache_invalidations == 0);
+    }
+
+    #[test]
+    fn strict_fresh_cache_serves_a_restamped_view_again() {
+        // The cache must hold the catalog-only result: a StrictFresh miss
+        // that drops a stale view caches the view anyway, so once the view
+        // is restamped the very next probe is a hit that serves it Fresh.
+        // A cache of gated results would keep replaying the empty answer.
+        let engine = engine_with_views(MatchConfig {
+            freshness: FreshnessPolicy::StrictFresh,
+            ..MatchConfig::default()
+        });
+        let (_, t) = tpch_catalog();
+        let q = part_query(400, 900);
+        engine.record_base_write(t.part);
+        assert!(
+            engine.find_substitutes(&q).is_empty(),
+            "stale: nothing served"
+        );
+        let stats = engine.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
+        assert_eq!(engine.substitute_cache_len(), 1, "the miss is cached");
+        assert!(engine.mark_view_maintained(ViewId(0)));
+        let subs = engine.find_substitutes(&q);
+        assert_eq!(subs.len(), 1);
+        assert_eq!(subs[0].0, ViewId(0));
+        assert_eq!(subs[0].1.freshness, Freshness::Fresh);
+        let stats = engine.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+        assert_eq!(stats.cache_invalidations, 0);
     }
 
     #[test]

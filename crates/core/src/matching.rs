@@ -23,10 +23,12 @@ use mv_plan::{
 use std::collections::HashMap;
 
 /// When may a view whose materialized state trails the current base data
-/// substitute for a query? Enforced by `find_substitutes` against the
-/// per-table *data epochs* the engine tracks (bumped by
+/// substitute for a query? Enforced against the per-table *data epochs*
+/// the engine tracks (bumped by
 /// [`crate::MatchingEngine::record_base_write`], restamped per view by
-/// [`crate::MatchingEngine::mark_view_maintained`]); every returned
+/// [`crate::MatchingEngine::mark_view_maintained`]) by one gate that runs
+/// after the substitute cache, on the snapshot the match pinned: the
+/// §3 tests and the cache see the catalog only. Every returned
 /// [`Substitute`] carries the [`Freshness`] the policy admitted it under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FreshnessPolicy {
@@ -103,7 +105,7 @@ pub struct MatchConfig {
     /// `usize::MAX` to pin matching fully serial.
     pub parallel_threshold: usize,
     /// Worker cap for parallel matching and for
-    /// `find_substitutes_batch`'s per-query fan-out. `0` (the default)
+    /// `find_substitutes_many`'s per-group fan-out. `0` (the default)
     /// means use the machine's available parallelism.
     pub parallel_workers: usize,
     /// Capacity (entries) of the fingerprint-keyed substitute cache on
@@ -111,7 +113,9 @@ pub struct MatchConfig {
     /// skip the filter tree and the matching tests entirely and return the
     /// cached substitute list (output names re-stamped from the probing
     /// query). `0` disables the cache. Entries are invalidated lazily on
-    /// view registration/removal via an engine epoch.
+    /// catalog changes (view registration/removal, check constraints) via
+    /// per-table epochs; base writes and view restamps never invalidate
+    /// them, because the freshness gate runs after the cache.
     pub substitute_cache_capacity: usize,
     /// Mutex stripes of the substitute cache; concurrent matchers only
     /// contend when their fingerprints share a stripe. Clamped to
@@ -881,7 +885,7 @@ fn try_match(
         backjoins: ctx.take_backjoins(),
         predicates,
         output,
-        // The engine's freshness enforcement overrides this per candidate;
+        // The engine's freshness gate overrides this per substitute;
         // direct `match_view` callers see the static-catalog default.
         freshness: Freshness::Fresh,
     })

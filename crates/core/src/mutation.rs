@@ -33,6 +33,10 @@ pub const SKIP_EPOCH_BUMP_ON_REMOVE: u32 = 4;
 /// The cache-miss counter is not recorded: the quiescent invariant
 /// `cache_hits + cache_misses == invocations` breaks.
 pub const SKIP_CACHE_MISS_STAT: u32 = 5;
+/// The substitute cache stores the freshness-gated result instead of the
+/// catalog-only one: a view that was stale when its query was cached stays
+/// hidden after it is restamped, because no catalog epoch moves.
+pub const CACHE_GATED_RESULTS: u32 = 6;
 
 static ACTIVE: AtomicU32 = AtomicU32::new(NONE);
 

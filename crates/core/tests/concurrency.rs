@@ -116,7 +116,7 @@ fn batch_equals_query_at_a_time() {
     let engine = engine(&views, parallel_config());
     let one_by_one: Vec<_> = queries.iter().map(|q| engine.find_substitutes(q)).collect();
     engine.reset_stats();
-    let batch = engine.find_substitutes_batch(&queries);
+    let batch = engine.find_substitutes_many(&queries);
     assert_eq!(batch, one_by_one);
     assert_eq!(engine.stats().invocations, queries.len() as u64);
 }

@@ -5,7 +5,7 @@
 //! is the concurrency analogue of mv-verify's soundness corruption suite:
 //! a checker that never fails proves nothing.
 //!
-//! The sixth seeded mutation — publication downgraded from release/acquire
+//! One more seeded mutation — publication downgraded from release/acquire
 //! to relaxed — lives in `crates/model/tests/explorer.rs`
 //! (`relaxed_publication_is_pinned_to_a_failing_schedule`), where the
 //! memory-model shims themselves are exercised directly.
@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mv_catalog::tpch::tpch_catalog;
 use mv_catalog::{Catalog, TableId};
-use mv_core::{mutation, MatchConfig, MatchingEngine};
+use mv_core::{mutation, FreshnessPolicy, MatchConfig, MatchingEngine};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_model::{explore, replay, Config};
 use mv_plan::{NamedExpr, SpjgExpr, ViewDef};
@@ -71,16 +71,20 @@ fn part_query(fx: &Fixture) -> SpjgExpr {
     )
 }
 
+fn config(cache_capacity: usize) -> MatchConfig {
+    MatchConfig {
+        timing: false,
+        parallel_threshold: usize::MAX,
+        substitute_cache_capacity: cache_capacity,
+        substitute_cache_shards: 1,
+        ..MatchConfig::default()
+    }
+}
+
 fn engine(fx: &Fixture, cache_capacity: usize) -> Arc<MatchingEngine> {
     Arc::new(MatchingEngine::new(
         fx.catalog.clone(),
-        MatchConfig {
-            timing: false,
-            parallel_threshold: usize::MAX,
-            substitute_cache_capacity: cache_capacity,
-            substitute_cache_shards: 1,
-            ..MatchConfig::default()
-        },
+        config(cache_capacity),
     ))
 }
 
@@ -293,6 +297,51 @@ fn skip_cache_miss_stat_unbalances_the_counters() {
             );
         },
     );
+}
+
+/// Mutation 6: the cache stores the freshness-gated result. A StrictFresh
+/// probe between a base write and the restamp caches the stale view's
+/// absence; the restamp moves no catalog epoch, so the entry keeps
+/// hiding the view once it is fresh again.
+#[test]
+fn cache_gated_results_hides_a_restamped_view() {
+    let fx = fixture();
+    let query = part_query(&fx);
+    pin(mutation::CACHE_GATED_RESULTS, "cache-gated-results", || {
+        let engine = Arc::new(MatchingEngine::new(
+            fx.catalog.clone(),
+            MatchConfig {
+                freshness: FreshnessPolicy::StrictFresh,
+                ..config(16)
+            },
+        ));
+        let id = engine
+            .add_view(part_view(&fx, "old", 100))
+            .expect("base view registers");
+        let writer = {
+            let engine = Arc::clone(&engine);
+            let part = fx.part;
+            mv_model::thread::spawn(move || {
+                engine.record_base_write(part);
+                assert!(engine.mark_view_maintained(id), "view is live");
+            })
+        };
+        let matcher = {
+            let engine = Arc::clone(&engine);
+            let query = query.clone();
+            mv_model::thread::spawn(move || {
+                engine.find_substitutes(&query);
+                engine.find_substitutes(&query);
+            })
+        };
+        writer.join().expect("writer joins");
+        matcher.join().expect("matcher joins");
+        let got = names(&engine, &query);
+        assert!(
+            got.contains("old"),
+            "restamped view not served once quiescent: {got:?}"
+        );
+    });
 }
 
 /// With no mutation active the same race programs pass clean — the

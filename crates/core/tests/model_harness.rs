@@ -3,8 +3,8 @@
 //!
 //! Each model program builds a fresh [`MatchingEngine`] over a three-table
 //! slice of TPC-H (part / orders / lineitem, six base range views), then
-//! races writer threads (`add_view` / `remove_view`) against matcher
-//! threads (`find_substitutes`). Every schedule the explorer generates is
+//! races writer threads (`add_view` / `remove_view`, or a base write and
+//! its restamp) against matcher threads (`find_substitutes`). Every schedule the explorer generates is
 //! checked against sequential reference executions computed *outside* the
 //! explorer:
 //!
@@ -29,10 +29,10 @@ use std::sync::Arc;
 
 use mv_catalog::tpch::tpch_catalog;
 use mv_catalog::Catalog;
-use mv_core::{MatchConfig, MatchingEngine};
+use mv_core::{FreshnessPolicy, MatchConfig, MatchingEngine};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_model::{explore, replay, Config, Ordering};
-use mv_plan::{NamedExpr, SpjgExpr, Substitute, ViewDef, ViewId};
+use mv_plan::{Freshness, NamedExpr, SpjgExpr, Substitute, ViewDef, ViewId};
 
 /// A three-table catalog slice with two range views per table, two
 /// pending registrations, and one probe query per pending view.
@@ -301,6 +301,97 @@ fn program_remove(fx: &Fixture, expected: &Expected) {
     assert_eq!(stats.removals, 1, "exactly one removal recorded");
 }
 
+/// The freshness-window program: a writer records a base write to `part`
+/// and then restamps every view, while a StrictFresh matcher with the
+/// cache on probes `q0` twice. The writer's two steps are the two bits of
+/// the window masks; the catalog never changes, so every probe after the
+/// first is answered from the cache and only the freshness gate tells the
+/// three states apart: before the write the part views are served Fresh,
+/// between write and restamp nothing is served, after the restamp they
+/// are served Fresh again.
+fn program_freshness(fx: &Fixture, expected: &Expected) {
+    let (_, t) = tpch_catalog();
+    let engine = Arc::new(MatchingEngine::new(
+        fx.catalog.clone(),
+        MatchConfig {
+            freshness: FreshnessPolicy::StrictFresh,
+            ..model_config()
+        },
+    ));
+    let ids = engine
+        .add_views(fx.base.clone())
+        .expect("base views register");
+    let served = expected[0][0].clone();
+    // Mask 0b01 (written, not yet restamped) serves nothing; masks 0b00
+    // and 0b11 serve the part views. The restamp follows the write in
+    // program order, so 0b10 is not a state.
+    let states = [
+        (0b00u64, served.clone()),
+        (0b01, BTreeSet::new()),
+        (0b11, served.clone()),
+    ];
+
+    let started = Arc::new(mv_model::AtomicU64::new(0));
+    let done = Arc::new(mv_model::AtomicU64::new(0));
+    let writer = {
+        let engine = Arc::clone(&engine);
+        let started = Arc::clone(&started);
+        let done = Arc::clone(&done);
+        mv_model::thread::spawn(move || {
+            started.fetch_or(0b01, Ordering::SeqCst);
+            engine.record_base_write(t.part);
+            done.fetch_or(0b01, Ordering::SeqCst);
+            started.fetch_or(0b10, Ordering::SeqCst);
+            assert_eq!(engine.mark_views_maintained(&ids), ids.len());
+            done.fetch_or(0b10, Ordering::SeqCst);
+        })
+    };
+    let matcher = {
+        let engine = Arc::clone(&engine);
+        let started = Arc::clone(&started);
+        let done = Arc::clone(&done);
+        let query = fx.queries[0].clone();
+        mv_model::thread::spawn(move || {
+            for probe in 0..2 {
+                let before = done.load(Ordering::SeqCst);
+                let subs = engine.find_substitutes(&query);
+                let after = started.load(Ordering::SeqCst);
+                let got = names_of(&engine, &subs);
+                assert!(
+                    subs.iter()
+                        .all(|(_, sub)| sub.freshness == Freshness::Fresh),
+                    "StrictFresh served a stale substitute on probe {probe}"
+                );
+                assert!(
+                    states.iter().any(|(m, want)| m & before == before
+                        && m | after == after
+                        && *want == got),
+                    "probe {probe}: find_substitutes(q0) = {got:?} matches no \
+                     freshness state in its window (before={before:#b}, after={after:#b})"
+                );
+            }
+        })
+    };
+    writer.join().expect("writer joins");
+    matcher.join().expect("matcher joins");
+
+    // Quiescence: every view is restamped, so the part views are served
+    // Fresh, and the cache counters balance exactly.
+    let subs = engine.find_substitutes(&fx.queries[0]);
+    assert_eq!(names_of(&engine, &subs), served, "quiescent result for q0");
+    assert!(
+        subs.iter()
+            .all(|(_, sub)| sub.freshness == Freshness::Fresh),
+        "quiescent substitutes are Fresh"
+    );
+    let stats = engine.stats();
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        stats.invocations,
+        "every invocation is exactly one cache hit or miss"
+    );
+}
+
 fn harness_config() -> Config {
     Config {
         preemption_bound: 2,
@@ -343,6 +434,29 @@ fn concurrent_removal_is_linearizable() {
         report.schedules, report.pruned, report.max_depth, report.budget_exhausted
     );
     report.assert_pass("remove_view vs find_substitutes");
+    assert!(
+        report.schedules >= 10_000,
+        "expected at least 10k distinct schedules, explored {}",
+        report.schedules
+    );
+}
+
+#[test]
+fn freshness_gate_is_linearizable() {
+    let fx = fixture();
+    let expected = expected_tables(&fx);
+    // Two threads only, like the remove program: a deeper bound keeps
+    // the explored-schedule floor meaningful.
+    let cfg = Config {
+        preemption_bound: 4,
+        ..harness_config()
+    };
+    let report = explore(&cfg, || program_freshness(&fx, &expected));
+    eprintln!(
+        "freshness-window program: {} schedules ({} pruned, max depth {}, budget exhausted: {})",
+        report.schedules, report.pruned, report.max_depth, report.budget_exhausted
+    );
+    report.assert_pass("record_base_write + mark_views_maintained vs find_substitutes");
     assert!(
         report.schedules >= 10_000,
         "expected at least 10k distinct schedules, explored {}",

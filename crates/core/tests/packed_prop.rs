@@ -155,7 +155,7 @@ proptest! {
 
     /// Batched matching must be a pure reordering optimization:
     /// `find_substitutes_many` over an arbitrary multiset of queries
-    /// (duplicates make fingerprint groups of size > 1) returns exactly
+    /// (duplicates make groups of size > 1) returns exactly
     /// what query-at-a-time calls return, in input order.
     #[test]
     fn batch_equals_query_at_a_time(
@@ -221,9 +221,9 @@ proptest! {
     }
 }
 
-/// α-renamed duplicates land in the same fingerprint group; the batch
-/// path must restamp each member's output names from its own query,
-/// not the group representative's.
+/// α-renamed duplicates differ only in output names; the batch path must
+/// serve each member with the output names of its own query, not those
+/// of another member.
 #[test]
 fn batch_restamps_renamed_duplicates() {
     let (views, queries) = pools(16, 8);

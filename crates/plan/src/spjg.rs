@@ -31,7 +31,7 @@ impl NamedExpr {
 /// Section 2: "Aggregation functions are limited to sum and count."
 /// `AVG(E)` is rewritten to `SUM(E) / COUNT(*)` by the SQL front end
 /// (section 3.3), so it never reaches the plan layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)` / `COUNT_BIG(*)`.
     CountStar,
